@@ -57,7 +57,13 @@ lint-cache-check:
 build:
 	$(GO) build ./...
 
+# vet fails on any file gofmt would rewrite, then runs go vet. Dot
+# directories (build caches, VCS metadata) and bin/ are not source.
 vet:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*' -not -path './bin/*')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needs to run on:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 # staticcheck runs when the binary is on PATH (CI installs a pinned

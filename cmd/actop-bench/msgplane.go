@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -104,7 +105,12 @@ func runTCPBlast(measure time.Duration) uint64 {
 					return
 				default:
 				}
-				if err := a.Send(b.Node(), &transport.Envelope{ID: i, Payload: payload}); err != nil {
+				err := a.Send(b.Node(), &transport.Envelope{ID: i, Payload: payload})
+				if errors.Is(err, transport.ErrQueueFull) {
+					runtime.Gosched() // the writer is behind; offer the next one later
+					continue
+				}
+				if err != nil {
 					return
 				}
 			}

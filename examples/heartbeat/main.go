@@ -57,7 +57,7 @@ func main() {
 		Peers:     peers,
 		// Deliberately oversubscribed default: one thread per stage per
 		// "core", as the paper's baseline.
-		ReceiverWorkers: 8, Workers: 8, SenderWorkers: 8,
+		ReceiverWorkers: 8, Workers: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -106,11 +106,11 @@ type Config struct {
 	// Peers is the full static cluster membership, including this node.
 	Peers []transport.NodeID
 
-	// Stage sizing (defaults: 2 receivers, GOMAXPROCS workers, 2 senders;
-	// queue capacity 4096).
+	// Stage sizing (defaults: 2 receive-pool workers, 4 turn workers;
+	// queue capacity 4096). The send stage has no pool to size: sends run
+	// on the sending goroutine and the transport's per-peer writers.
 	ReceiverWorkers int
 	Workers         int
-	SenderWorkers   int
 	QueueCap        int
 
 	// CallTimeout bounds a single actor call round trip (default 5s).
@@ -179,7 +179,7 @@ type Config struct {
 
 	// DisableThreadControl turns off the live thread-allocation control
 	// loop (§5) that core.NewOptimizer attaches to this node's stages; the
-	// initial Workers/ReceiverWorkers/SenderWorkers split then stays fixed.
+	// initial Workers/ReceiverWorkers split then stays fixed.
 	DisableThreadControl bool
 	// ThreadControlInterval is the controller's measure→solve→resize
 	// period (default 10s, the paper's cadence). It overrides the
@@ -246,9 +246,6 @@ func (c *Config) fill() error {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.SenderWorkers <= 0 {
-		c.SenderWorkers = 2
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4096

@@ -358,7 +358,7 @@ func (s *System) controlCallRawReply(node transport.NodeID, verb string, payload
 	s.pendPut(id, ch)
 	defer s.pendDel(id)
 	env := &transport.Envelope{Kind: transport.KindControl, ID: id, Method: verb, Payload: payload}
-	if err := s.tr.Send(node, env); err != nil {
+	if _, err := s.send(node, env); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(timeout)

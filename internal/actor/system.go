@@ -78,6 +78,14 @@ type System struct {
 	tr    transport.Transport
 	peers []transport.NodeID // sorted, includes self
 
+	// The three stages of the paper's server pipeline (Fig. 2). Each remote
+	// call takes one goroutine hop per stage. Receive runs inline on the
+	// transport's read loop for calls to active actors (onCall); only
+	// deliveries that may block — activation, resolution, recovery — wait
+	// in recvStage's pool. The turn runs on workStage's pool. Send runs
+	// inline on the sending goroutine (send), and the transport's per-peer
+	// writer does the socket I/O, so sendStage's pool runs nothing: the
+	// stage exists to account send work for the thread controller.
 	recvStage *seda.Stage
 	workStage *seda.Stage
 	sendStage *seda.Stage
@@ -171,9 +179,9 @@ type System struct {
 	// when disabled — one pointer check per drain batch), the always-on
 	// flight recorder, and the SLO watcher's rolling latency window (nil
 	// unless SLOTarget is set).
-	prof    *hotspot.Profiler
-	flight  *flight.Recorder
-	sloWin  *metrics.ConcurrentHistogram
+	prof   *hotspot.Profiler
+	flight *flight.Recorder
+	sloWin *metrics.ConcurrentHistogram
 
 	// Counters (atomic; exported via Stats).
 	callsLocal, callsRemote, migrationsIn, migrationsOut, redirects atomic.Uint64
@@ -235,7 +243,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.recvStage = seda.NewStage("receiver", cfg.QueueCap, cfg.ReceiverWorkers)
 	s.workStage = seda.NewStage("worker", cfg.QueueCap, cfg.Workers)
-	s.sendStage = seda.NewStage("sender", cfg.QueueCap, cfg.SenderWorkers)
+	s.sendStage = seda.NewStage("sender", 1, 1)
 	// Fixed-size and outside the thread controller: the control plane must
 	// keep its workers precisely when every adaptive stage is starved.
 	s.ctlStage = seda.NewStage("control", cfg.QueueCap, ctlStageWorkers(cfg.ReceiverWorkers))
@@ -310,7 +318,9 @@ func (s *System) RegisterType(name string, f Factory) {
 }
 
 // Stages exposes the SEDA stages (receive, work, send) for the thread
-// controller.
+// controller. The receive and send stages also count the work their callers
+// run inline (seda.Stage.RunInline), so their windows cover every delivery
+// and every send, not just the ones that went through a pool.
 func (s *System) Stages() (recv, work, send *seda.Stage) {
 	return s.recvStage, s.workStage, s.sendStage
 }
@@ -785,8 +795,9 @@ func (s *System) invokeLocal(to Ref, method string, args []byte, deadline time.T
 	}
 }
 
-// remoteCall performs one RPC attempt through the send stage and waits up
-// to timeout for the correlated reply. The id is owned by the caller so
+// remoteCall performs one RPC attempt and waits up to timeout for the
+// correlated reply. The envelope goes straight to the transport's per-peer
+// writer from this goroutine (see send). The id is owned by the caller so
 // retries of one logical call share it (the callee's dedup window keys on
 // it); concurrent attempts cannot overlap because attempts are sequential
 // within dispatchRetry.
@@ -800,94 +811,74 @@ func (s *System) remoteCall(node transport.NodeID, to Ref, method string, args [
 		ActorType: to.Type, ActorKey: to.Key,
 		Method: method, Payload: args,
 	}
-	type sendOutcome struct {
-		err  error
-		wait time.Duration
-	}
-	sendCh := make(chan sendOutcome, 1)
-	var serr error
 	if sp != nil {
-		// Traced attempt: the hop context rides the envelope, and the send
-		// stage reports the envelope's queue wait (measured anyway for the
-		// stage estimators) back through the channel — never by writing the
-		// span from the send task, which the caller may have timed out on.
 		env.Trace = &transport.Trace{TraceID: sp.TraceID, SpanID: sp.SpanID, ParentID: sp.ParentID}
-		serr = s.sendStage.SubmitTimed(func(wait time.Duration) {
-			sendCh <- sendOutcome{err: s.tr.Send(node, env), wait: wait}
-		})
-	} else {
-		serr = s.sendStage.Submit(func() { sendCh <- sendOutcome{err: s.tr.Send(node, env)} })
 	}
-	if serr != nil {
-		return nil, fmt.Errorf("%w: send queue", ErrOverloaded)
+	d, err := s.send(node, env)
+	if err != nil {
+		// Surface transport failures (ErrUnreachable on a dead peer's
+		// address, a full peer queue) instead of waiting out the timeout.
+		return nil, err
+	}
+	if sp != nil {
+		sp.SendQueue = d
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for {
-		select {
-		case out := <-sendCh:
-			if out.err != nil {
-				// Surface transport failures (ErrUnreachable on a dead
-				// peer's address) instead of waiting out the timeout.
-				return nil, out.err
-			}
-			if sp != nil {
-				sp.SendQueue = out.wait
-			}
-			sendCh = nil // delivered; keep waiting for the reply
-		case reply := <-ch:
-			if sp != nil {
-				if sendCh != nil {
-					// The reply can only exist because the send completed,
-					// so the send outcome is already buffered; drain it for
-					// the queue-wait component.
-					select {
-					case out := <-sendCh:
-						if out.err == nil {
-							sp.SendQueue = out.wait
-						}
-					default:
-					}
+	select {
+	case reply := <-ch:
+		if sp != nil {
+			if rt := reply.Trace; rt != nil {
+				sp.RecvQueue = time.Duration(rt.RecvQueueNs)
+				sp.WorkQueue = time.Duration(rt.WorkQueueNs)
+				sp.Exec = time.Duration(rt.ExecNs)
+				sp.Epoch = rt.Epoch
+				if rt.Flags&transport.TraceFlagDedupHit != 0 {
+					sp.DedupHit = true
 				}
-				if rt := reply.Trace; rt != nil {
-					sp.RecvQueue = time.Duration(rt.RecvQueueNs)
-					sp.WorkQueue = time.Duration(rt.WorkQueueNs)
-					sp.Exec = time.Duration(rt.ExecNs)
-					sp.Epoch = rt.Epoch
-					if rt.Flags&transport.TraceFlagDedupHit != 0 {
-						sp.DedupHit = true
-					}
-					if rt.Flags&transport.TraceFlagSnapshot != 0 {
-						sp.Snapshot = true
-					}
+				if rt.Flags&transport.TraceFlagSnapshot != 0 {
+					sp.Snapshot = true
 				}
 			}
-			if reply.Err != "" {
-				if strings.HasPrefix(reply.Err, redirectPrefix) {
-					return nil, redirectError{node: transport.NodeID(strings.TrimPrefix(reply.Err, redirectPrefix))}
-				}
-				return nil, rehydrateWireErr(reply.Err)
-			}
-			return reply.Payload, nil
-		case <-timer.C:
-			return nil, fmt.Errorf("%w: %s.%s @%s", ErrTimeout, to, method, node)
-		case <-s.done:
-			return nil, ErrStopped
 		}
+		if reply.Err != "" {
+			if strings.HasPrefix(reply.Err, redirectPrefix) {
+				return nil, redirectError{node: transport.NodeID(strings.TrimPrefix(reply.Err, redirectPrefix))}
+			}
+			return nil, rehydrateWireErr(reply.Err)
+		}
+		return reply.Payload, nil
+	case <-timer.C:
+		return nil, fmt.Errorf("%w: %s.%s @%s", ErrTimeout, to, method, node)
+	case <-s.done:
+		return nil, ErrStopped
 	}
 }
 
-// onEnvelope is the transport inbound handler. Calls and control verbs
-// funnel through the receive stage (deserialization/demux — Fig. 2); traced
-// calls go through the timed submit so their receive-stage queue wait lands
-// in the server span. Replies are demuxed inline on the transport goroutine:
-// demux is non-blocking (a striped map lookup plus a non-blocking channel
-// send), and routing replies through the stage deadlocked the receive plane
-// whenever every receive worker was parked in a synchronous control call
-// (handleCall's remote directory lookup) — the replies those workers were
-// waiting for sat in the queue behind them until the call timeout fired.
-func (s *System) onEnvelope(env *transport.Envelope) {
-	e := env
+// send is the send stage (Fig. 2): it hands env to the transport on the
+// calling goroutine — a caller, a turn's reply continuation, a control
+// worker — and returns the time spent in Send. The transport's per-peer
+// writer does the socket I/O, so a pool hop in front of it would add a
+// hand-off and no parallelism; RunInline still counts the send for the
+// thread controller. A full peer queue is load shedding and is classified
+// ErrOverloaded, like a full stage queue.
+func (s *System) send(to transport.NodeID, env *transport.Envelope) (time.Duration, error) {
+	var err error
+	d := s.sendStage.RunInline(func() { err = s.tr.Send(to, env) })
+	if errors.Is(err, transport.ErrQueueFull) {
+		err = fmt.Errorf("%w: %w", ErrOverloaded, err)
+	}
+	return d, err
+}
+
+// onEnvelope is the transport inbound handler. On TCP it runs on the
+// connection's read loop, which has just decoded the frame — the receive
+// stage's deserialization (Fig. 2) — so it must never block: replies are
+// demuxed inline (a striped map lookup plus a non-blocking channel send),
+// control verbs go to ctlStage, and calls go through onCall. A blocked read
+// loop stalls every later envelope on its connection, including the reply
+// to whatever it is waiting for.
+func (s *System) onEnvelope(e *transport.Envelope) {
 	// Any inbound envelope is proof of life for its sender: passive failure
 	// detection on top of the active ping loop. Under load the active loop
 	// false-positives — pings starve while real traffic still flows — and a
@@ -900,41 +891,44 @@ func (s *System) onEnvelope(env *transport.Envelope) {
 	if e.From != "" {
 		s.markPeerAlive(e.From)
 	}
-	if e.Kind == transport.KindReply {
+	switch e.Kind {
+	case transport.KindReply:
 		if ch := s.pendGet(e.ID); ch != nil {
 			select {
 			case ch <- e:
 			default:
 			}
 		}
-		return
-	}
-	var err error
-	switch {
-	case e.Kind == transport.KindControl:
+	case transport.KindControl:
 		// Control verbs ride their own stage (see ctlStage): they are the
 		// dependencies the parked receive workers wait on, so they must
 		// stay serviceable when the receive pool is saturated.
-		err = s.ctlStage.Submit(func() { s.handleControl(e) })
-	case e.Trace != nil && e.Kind == transport.KindCall:
-		err = s.recvStage.SubmitTimed(func(wait time.Duration) { s.handleCall(e, wait) })
-	default:
-		err = s.recvStage.Submit(func() { s.handle(e) })
-	}
-	if err != nil {
-		// Receive queue full: reject calls outright (§6.1 saturation).
-		if e.Kind == transport.KindCall || e.Kind == transport.KindControl {
+		if err := s.ctlStage.Submit(func() { s.handleControl(e) }); err != nil {
 			s.replyErr(e, ErrOverloaded.Error())
 		}
+	case transport.KindCall:
+		s.onCall(e)
 	}
 }
 
-func (s *System) handle(env *transport.Envelope) {
-	switch env.Kind {
-	case transport.KindCall:
-		s.handleCall(env, 0)
-	case transport.KindControl:
-		s.handleControl(env)
+// onCall delivers an inbound call. A call to an actor already active here
+// needs only a dedup claim and a mailbox enqueue, neither of which blocks,
+// so it is delivered on the calling goroutine and the turn is the next hop.
+// Everything that can block — on-demand activation, directory resolution,
+// durable recovery, forwarding — waits in the receive pool; a full pool
+// rejects the call (§6.1 saturation).
+func (s *System) onCall(env *transport.Envelope) {
+	ref := Ref{Type: env.ActorType, Key: env.ActorKey}
+	sh := s.shardOf(ref)
+	sh.mu.RLock()
+	act := sh.activations[ref]
+	sh.mu.RUnlock()
+	if act != nil {
+		s.recvStage.RunInline(func() { s.handleCall(env, act, 0) })
+		return
+	}
+	if err := s.recvStage.SubmitTimed(func(wait time.Duration) { s.handleCall(env, nil, wait) }); err != nil {
+		s.replyErr(env, ErrOverloaded.Error())
 	}
 }
 
@@ -1055,11 +1049,13 @@ func (s *System) dedupCancel(key dedupKey) {
 // handleCall delivers a remote invocation to the local activation, or
 // redirects the caller if the actor lives elsewhere now. Deliveries are
 // funneled through the dedup window so a retried call never executes a
-// second turn on this node. recvWait is the envelope's receive-stage queue
-// wait (zero when untraced); a traced call builds the server span here and
-// ships its measured components back on the reply as pure durations, so
+// second turn on this node. act is the activation onCall found active, or
+// nil when the delivery must resolve (and possibly activate) the target,
+// which may block. recvWait is the envelope's receive-pool wait (zero for
+// inline deliveries); a traced call builds the server span here and ships
+// its measured components back on the reply as pure durations, so
 // cross-node clock skew never enters the decomposition.
-func (s *System) handleCall(env *transport.Envelope, recvWait time.Duration) {
+func (s *System) handleCall(env *transport.Envelope, act *activation, recvWait time.Duration) {
 	to := Ref{Type: env.ActorType, Key: env.ActorKey}
 	from := env.From
 	id := env.ID
@@ -1104,7 +1100,7 @@ func (s *System) handleCall(env *transport.Envelope, recvWait time.Duration) {
 	// against a dying replica) describe the infrastructure at one instant,
 	// not the call, and must not be recorded against the call id.
 	preTurn := true
-	respond := func(data []byte, err error) {
+	respond := func(data []byte, _ interface{}, err error) {
 		errStr := ""
 		if err != nil {
 			errStr = err.Error()
@@ -1148,12 +1144,11 @@ func (s *System) handleCall(env *transport.Envelope, recvWait time.Duration) {
 		}
 		s.sendReply(from, id, data, errStr, rt, sp)
 	}
-	var act *activation
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; act == nil; attempt++ {
 		var err error
 		act, err = s.activationFor(to, true, true)
 		if err != nil {
-			respond(nil, err)
+			respond(nil, nil, err)
 			return
 		}
 		if act != nil {
@@ -1168,54 +1163,35 @@ func (s *System) handleCall(env *transport.Envelope, recvWait time.Duration) {
 			continue
 		}
 		if lerr != nil || node == s.Node() {
-			respond(nil, fmt.Errorf("actor: cannot route %s", to))
+			respond(nil, nil, fmt.Errorf("actor: cannot route %s", to))
 			return
 		}
-		respond(nil, errors.New(redirectPrefix+string(node)))
+		respond(nil, nil, errors.New(redirectPrefix+string(node)))
 		return
 	}
 	if trc != nil {
 		trc.enqueuedAt = time.Now()
 	}
 	preTurn = false
-	act.enqueue(invocation{
-		method: env.Method,
-		args:   env.Payload,
-		trc:    trc,
-		respond: func(data []byte, _ interface{}, err error) {
-			respond(data, err)
-		},
-	}, s)
+	act.enqueue(invocation{method: env.Method, args: env.Payload, trc: trc, respond: respond}, s)
 }
 
-// sendReply ships one reply envelope through the send stage (inline as a
-// best effort under overload). For traced calls the reply carries the
-// callee's hop-timing record (rt) and the send task completes the server
-// span with its own queue wait before publishing it — the span is owned by
-// exactly one goroutine at every point, so no turn-side write can race a
-// ring reader.
+// sendReply ships one reply envelope from the goroutine that produced it.
+// For traced calls the reply carries the callee's hop-timing record (rt),
+// and sendReply completes the server span with its own send time before
+// publishing it — the span is owned by exactly one goroutine at every
+// point, so no turn-side write can race a ring reader.
 func (s *System) sendReply(to transport.NodeID, id uint64, payload []byte, errStr string, rt *transport.Trace, sp *trace.Span) {
-	reply := &transport.Envelope{Kind: transport.KindReply, ID: id, Payload: payload, Err: errStr, Trace: rt}
-	if sp == nil {
-		if serr := s.sendStage.Submit(func() { _ = s.tr.Send(to, reply) }); serr != nil {
-			_ = s.tr.Send(to, reply)
-		}
-		return
-	}
-	finish := func(wait time.Duration) {
-		_ = s.tr.Send(to, reply)
-		sp.ReplySend = wait
+	d, _ := s.send(to, &transport.Envelope{Kind: transport.KindReply, ID: id, Payload: payload, Err: errStr, Trace: rt})
+	if sp != nil {
+		sp.ReplySend = d
 		sp.Total = time.Since(sp.Start)
 		s.spans.Put(sp)
-	}
-	if serr := s.sendStage.SubmitTimed(finish); serr != nil {
-		finish(0)
 	}
 }
 
 func (s *System) replyErr(env *transport.Envelope, msg string) {
-	reply := &transport.Envelope{Kind: transport.KindReply, ID: env.ID, Err: msg}
-	_ = s.tr.Send(env.From, reply)
+	_, _ = s.send(env.From, &transport.Envelope{Kind: transport.KindReply, ID: env.ID, Err: msg})
 }
 
 // --- placement directory (hash-homed entries + per-node location cache) ---
@@ -1389,7 +1365,7 @@ func (s *System) controlCallT(node transport.NodeID, verb string, args, reply in
 	s.pendPut(id, ch)
 	defer s.pendDel(id)
 	env := &transport.Envelope{Kind: transport.KindControl, ID: id, Method: verb, Payload: data}
-	if err := s.tr.Send(node, env); err != nil {
+	if _, err := s.send(node, env); err != nil {
 		return err
 	}
 	timer := time.NewTimer(timeout)
@@ -1416,7 +1392,7 @@ func (s *System) handleControl(env *transport.Envelope) {
 	if err != nil {
 		reply.Err = err.Error()
 	}
-	_ = s.tr.Send(env.From, reply)
+	_, _ = s.send(env.From, reply)
 }
 
 func (s *System) handleControlVerb(verb string, payload []byte, from transport.NodeID) ([]byte, error) {

@@ -49,7 +49,7 @@ func newCluster(t *testing.T, n int) []*actor.System {
 		// 8 driver goroutines × 2 nested call levels ⇒ 16 is safe.
 		sys, err := actor.NewSystem(actor.Config{
 			Transport: trs[i], Peers: peers, Seed: int64(i + 1),
-			Workers: 16, ReceiverWorkers: 4, SenderWorkers: 4,
+			Workers: 16, ReceiverWorkers: 4,
 			CallTimeout:          3 * time.Second,
 			ExchangeRejectWindow: 100 * time.Millisecond,
 		})

@@ -71,8 +71,8 @@ func TestBoundedMemoryAndErrorBound(t *testing.T) {
 
 func TestOutAndMigrationOnlyTouchTracked(t *testing.T) {
 	p := New(32)
-	p.ObserveOut(hash(1), 5, 500)   // untracked: ignored
-	p.ObserveMigration(hash(1))     // untracked: ignored
+	p.ObserveOut(hash(1), 5, 500) // untracked: ignored
+	p.ObserveMigration(hash(1))   // untracked: ignored
 	if got := p.Tracked(); got != 0 {
 		t.Fatalf("outbound-only observation admitted an actor: Tracked=%d", got)
 	}

@@ -109,7 +109,7 @@ func TestHistogramBinaryAdversarial(t *testing.T) {
 		{"single count above total", encodeRaw(5, 0, 1, 1, 1, 0, 6)},
 		{"bucket sum below total", encodeRaw(5, 0, 1, 1, 1, 0, 4)},
 		{"repeated bucket", encodeRaw(4, 0, 1, 1, 2, 3, 2, 0, 2)},
-		{"delta out of range", encodeRaw(2, 0, 1, 1, 1, histBucketN + 1, 2)},
+		{"delta out of range", encodeRaw(2, 0, 1, 1, 1, histBucketN+1, 2)},
 		{"delta wraps int64", encodeRaw(2, 0, 1, 1, 1, math.MaxUint64, 2)},
 		{"nonzero exceeds payload", encodeRaw(2, 0, 1, 1, 50, 0, 2)},
 	}

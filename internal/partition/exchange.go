@@ -85,11 +85,13 @@ func DecideExchange(opts Options, view EdgeView, loc Locator,
 	// built from a partial sample). The weight internal to p is only known
 	// to p, so the carried HomeWeight is used as-is.
 	sHeap := &scoreHeap{}
+	var nbrs []graph.Vertex
 	for _, c := range req.Candidates {
 		var toQ float64
-		for u, w := range c.Edges {
+		nbrs = sortedNeighbors(c.Edges, nbrs)
+		for _, u := range nbrs {
 			if s, ok := loc.Server(u); ok && s == q {
-				toQ += w
+				toQ += c.Edges[u]
 			}
 		}
 		c.TargetWeight = toQ

@@ -137,24 +137,28 @@ func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID
 	localVertices []graph.Vertex, population int) []Proposal {
 
 	perTarget := make(map[graph.ServerID]*targetRank)
+	var nbrs []graph.Vertex
 	for _, v := range localVertices {
 		// One pass over v's edges accumulates weight per remote server and
-		// the local weight — O(deg(v)) instead of O(n·deg(v)).
+		// the local weight — O(deg(v)) instead of O(n·deg(v)) — in sorted
+		// neighbor order, so the same graph gives the same scores, ranking
+		// and tie-breaks every run.
+		edges := make(map[graph.Vertex]float64)
+		view.VertexEdges(v, func(u graph.Vertex, w float64) { edges[u] = w })
+		nbrs = sortedNeighbors(edges, nbrs)
 		var toHome float64
 		toRemote := make(map[graph.ServerID]float64)
-		edges := make(map[graph.Vertex]float64)
-		view.VertexEdges(v, func(u graph.Vertex, w float64) {
-			edges[u] = w
+		for _, u := range nbrs {
 			s, ok := loc.Server(u)
 			if !ok {
-				return
+				continue
 			}
 			if s == p {
-				toHome += w
+				toHome += edges[u]
 			} else {
-				toRemote[s] += w
+				toRemote[s] += edges[u]
 			}
-		})
+		}
 		for q, toQ := range toRemote {
 			score := toQ - toHome
 			size := opts.size(v)
@@ -212,6 +216,19 @@ func SelectCandidates(opts Options, view EdgeView, loc Locator, p graph.ServerID
 		return proposals[i].To < proposals[j].To
 	})
 	return proposals
+}
+
+// sortedNeighbors returns the keys of edges in ascending order, reusing
+// buf. Weight sums over an edge list run in this order: float addition is
+// not associative, so summing in map order would make the same graph score
+// differently from run to run.
+func sortedNeighbors(edges map[graph.Vertex]float64, buf []graph.Vertex) []graph.Vertex {
+	buf = buf[:0]
+	for u := range edges {
+		buf = append(buf, u)
+	}
+	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	return buf
 }
 
 // GraphView adapts a full *graph.Graph to the EdgeView interface — the

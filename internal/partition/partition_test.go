@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"actop/internal/graph"
@@ -280,5 +282,40 @@ func TestDecideExchangeRescoresWithReceiverKnowledge(t *testing.T) {
 	resp := DecideExchange(DefaultOptions(), GraphView{G: g}, a, req, nil, 0)
 	if len(resp.Accepted) != 0 {
 		t.Fatalf("receiver accepted a stale candidate: %v", resp.Accepted)
+	}
+}
+
+// TestSelectCandidatesInsertionOrderIndependent builds one fractional-weight
+// graph twice, inserting its edges in opposite orders, and requires
+// identical proposals from both. Go randomizes map iteration per map, so
+// any weight sum taken in iteration order would differ in its last bits
+// between the copies (and between runs) and could reorder candidates.
+func TestSelectCandidatesInsertionOrderIndependent(t *testing.T) {
+	src := graph.NoisyCliques(8, 8, 5, 0.2, 100, 53)
+	edges := src.Edges()
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
+		}
+		return edges[i].V < edges[j].V
+	})
+	opts := DefaultOptions()
+	for trial := 0; trial < 20; trial++ {
+		fwd, rev := graph.New(), graph.New()
+		for i := range edges {
+			e, r := edges[i], edges[len(edges)-1-i]
+			fwd.AddEdge(e.U, e.V, e.Weight)
+			rev.AddEdge(r.U, r.V, r.Weight)
+		}
+		a := graph.HashAssignment(fwd, servers(4))
+		for _, p := range a.Servers() {
+			local := a.VerticesOn(p)
+			sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
+			pf := SelectCandidates(opts, GraphView{G: fwd}, a, p, local, len(local))
+			pr := SelectCandidates(opts, GraphView{G: rev}, a, p, local, len(local))
+			if !reflect.DeepEqual(pf, pr) {
+				t.Fatalf("trial %d server %d: proposals depend on edge insertion order", trial, p)
+			}
+		}
 	}
 }

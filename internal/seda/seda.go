@@ -3,9 +3,11 @@
 // pool, with the per-event instrumentation (arrival counts, queue lengths,
 // wall times) that ActOp's thread controller consumes (§5).
 //
-// It is the runtime analogue of the simulator's stage model; the actor
-// runtime (internal/actor) pipes receive → execute → send through stages
-// exactly as Fig. 2 shows.
+// It is the runtime analogue of the simulator's stage model. The actor
+// runtime (internal/actor) measures receive → execute → send as three
+// stages, as Fig. 2 shows; receive and send mostly run inline on goroutines
+// that already exist (RunInline), and only work that may block waits in a
+// pool.
 package seda
 
 import (
@@ -146,6 +148,34 @@ func (s *Stage) SubmitTimed(t TimedTask) error {
 	}
 }
 
+// RunInline runs t on the calling goroutine as one event of this stage and
+// returns its execution time. It is for stage work whose natural home is a
+// goroutine that already exists — a transport read loop that deserializes
+// and delivers, a caller that hands a frame to its peer's writer — where a
+// pool hop would add a hand-off and no parallelism. The event counts toward
+// the window exactly like a pooled one (arrival, completion, busy time),
+// with zero queue wait, so the thread controller's λ and service-time
+// estimates keep covering all of the stage's work.
+func (s *Stage) RunInline(t Task) time.Duration {
+	s.arrivals.Add(1)
+	start := time.Now()
+	t()
+	busy := time.Since(start)
+	s.record(0, busy)
+	return busy
+}
+
+// record accounts one completed event's queue wait and execution time.
+func (s *Stage) record(wait, busy time.Duration) {
+	s.waitNanos.Add(int64(wait))
+	s.busyNanos.Add(int64(busy))
+	s.processed.Add(1)
+	s.obsMu.Lock()
+	s.waitHist.Record(wait)
+	s.busyHist.Record(busy)
+	s.obsMu.Unlock()
+}
+
 // worker drains the queue until its stop channel fires.
 func (s *Stage) worker(stop chan struct{}) {
 	defer s.wg.Done()
@@ -159,19 +189,12 @@ func (s *Stage) worker(stop chan struct{}) {
 			}
 			start := time.Now()
 			wait := start.Sub(q.at)
-			s.waitNanos.Add(int64(wait))
 			if q.task != nil {
 				q.task()
 			} else {
 				q.timed(wait)
 			}
-			busy := time.Since(start)
-			s.busyNanos.Add(int64(busy))
-			s.processed.Add(1)
-			s.obsMu.Lock()
-			s.waitHist.Record(wait)
-			s.busyHist.Record(busy)
-			s.obsMu.Unlock()
+			s.record(wait, time.Since(start))
 		}
 	}
 }

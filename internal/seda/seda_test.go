@@ -217,3 +217,28 @@ func TestSubmitTimedClosed(t *testing.T) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
+
+func TestRunInlineAccounting(t *testing.T) {
+	s := NewStage("w", 4, 1)
+	defer s.Close()
+	var ranOn atomic.Int64
+	busy := s.RunInline(func() {
+		ranOn.Add(1)
+		time.Sleep(5 * time.Millisecond)
+	})
+	if ranOn.Load() != 1 {
+		t.Fatal("inline task did not run before RunInline returned")
+	}
+	if busy < 4*time.Millisecond {
+		t.Fatalf("busy = %v, want ≥ ~5ms", busy)
+	}
+	// The inline event lands in the same window as pooled ones: one
+	// arrival, one completion, its busy time, and no queue wait.
+	st := s.Snapshot()
+	if st.Arrivals != 1 || st.Processed != 1 || st.BusyTime != busy {
+		t.Fatalf("snapshot = %+v", st)
+	}
+	if st.QueueWait != 0 || st.Wait.Max != 0 || st.Busy.Count != 1 {
+		t.Fatalf("snapshot = %+v", st)
+	}
+}

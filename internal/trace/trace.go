@@ -46,12 +46,12 @@ type Span struct {
 	// record and Network is the residual (wire both ways plus framing). A
 	// server span carries only the callee-side four.
 	Serialize time.Duration `json:"serialize_ns,omitempty"`  // arg marshal + reply unmarshal (caller)
-	SendQueue time.Duration `json:"send_queue_ns,omitempty"` // caller send-stage queue wait
+	SendQueue time.Duration `json:"send_queue_ns,omitempty"` // caller time in Transport.Send, handing the call to the peer writer
 	Network   time.Duration `json:"network_ns,omitempty"`    // residual: wire + framing, both directions
-	RecvQueue time.Duration `json:"recv_queue_ns,omitempty"` // callee receive-stage queue wait
+	RecvQueue time.Duration `json:"recv_queue_ns,omitempty"` // callee receive-pool wait; 0 when delivered inline on the read loop
 	WorkQueue time.Duration `json:"work_queue_ns,omitempty"` // callee activation mailbox wait
 	Exec      time.Duration `json:"exec_ns,omitempty"`       // callee turn execution
-	ReplySend time.Duration `json:"reply_send_ns,omitempty"` // callee reply send-stage queue wait
+	ReplySend time.Duration `json:"reply_send_ns,omitempty"` // callee time in Transport.Send for the reply
 
 	// Annotations from the fault-tolerance machinery (PR 3).
 	Retries   uint32 `json:"retries,omitempty"`

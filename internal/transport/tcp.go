@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"actop/internal/codec"
 )
@@ -16,24 +17,29 @@ import (
 //     writer goroutine over a buffered FrameWriter. Senders enqueue and
 //     return; the writer flushes only when the outbound queue is empty, so
 //     bursts of messages coalesce into single syscalls.
-//   - Inbound frames are decoded on the read loop but dispatched to the
-//     handler on a separate per-connection goroutine, so one slow handler
-//     cannot head-of-line-block frame reading on that connection.
+//   - Each inbound connection has one read loop that decodes frames and
+//     runs the handler inline. The read loop is the receive stage of the
+//     runtime's pipeline, so handlers must not block: anything slow has to
+//     be handed to a goroutine of its own.
 //
 // Node ids are the listen addresses, so peers need no separate name
 // service.
 //
 // Error semantics: a dial failure surfaces as ErrUnreachable from Send (the
-// address is known, the peer is not reachable right now). A write failure
-// on an established connection redials once and retransmits; only write
-// failures trigger redials. Handlers must not call Close (Close waits for
-// in-flight handler invocations to return).
+// address is known, the peer is not reachable right now), and a full peer
+// queue as ErrQueueFull. A write failure on an established connection
+// redials once and retransmits; only write failures trigger redials.
+// Handlers must not call Close (Close waits for in-flight handler
+// invocations to return).
 type TCP struct {
 	id       NodeID
 	listener net.Listener
 
-	mu      sync.Mutex
-	handler Handler
+	handler atomic.Pointer[Handler]
+
+	// mu guards peers, inbound and closed. Every Send looks its peer up,
+	// from whichever goroutine sends, so the lookup takes it shared.
+	mu      sync.RWMutex
 	peers   map[NodeID]*tcpPeer
 	inbound map[net.Conn]struct{}
 	closed  bool
@@ -42,13 +48,10 @@ type TCP struct {
 	wg      sync.WaitGroup
 }
 
-// outboundQueueCap bounds each peer's send queue; a full queue blocks Send
-// (backpressure) until the writer drains or the transport closes.
+// outboundQueueCap bounds each peer's send queue; Send on a full queue
+// fails with ErrQueueFull instead of waiting (load shedding — a stalled
+// peer must not stall its senders).
 const outboundQueueCap = 1024
-
-// inboundQueueCap bounds each connection's decoded-envelope queue between
-// the read loop and the dispatch goroutine.
-const inboundQueueCap = 1024
 
 // envPool recycles the sender-side envelope copies between Send and the
 // writer goroutine: Send takes one, the writer returns it after encoding.
@@ -122,11 +125,7 @@ func ListenTCP(addr string) (*TCP, error) {
 func (t *TCP) Node() NodeID { return t.id }
 
 // SetHandler installs the inbound consumer.
-func (t *TCP) SetHandler(h Handler) {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
-}
+func (t *TCP) SetHandler(h Handler) { t.handler.Store(&h) }
 
 // --- inbound path ---
 
@@ -150,9 +149,9 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one connection and feeds the dispatch
-// goroutine; it never invokes the handler itself, so a slow handler delays
-// only its own connection's queue, not frame reading.
+// readLoop decodes frames off one connection and runs the handler on each
+// envelope in turn. Once Close has begun, decoded envelopes are dropped, so
+// no handler invocation starts after Close returns.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -161,10 +160,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	q := make(chan *Envelope, inboundQueueCap)
-	t.wg.Add(1) // safe: this goroutine already holds a wg count
-	go t.dispatchLoop(q)
-	defer close(q)
 	fr := codec.NewFrameReader(conn)
 	in := newInterner()
 	for {
@@ -177,29 +172,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return // corrupt stream: drop the connection
 		}
 		select {
-		case q <- env:
 		case <-t.closeCh:
 			return
-		}
-	}
-}
-
-// dispatchLoop hands decoded envelopes to the handler. Close waits for it
-// to exit, so no handler invocation is in flight once Close returns;
-// envelopes still queued when Close begins are dropped.
-func (t *TCP) dispatchLoop(q chan *Envelope) {
-	defer t.wg.Done()
-	for env := range q {
-		select {
-		case <-t.closeCh:
-			continue // draining after Close: drop, just unblock the reader
 		default:
 		}
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
-		if h != nil {
-			h(env)
+		if h := t.handler.Load(); h != nil {
+			(*h)(env)
 		}
 	}
 }
@@ -208,9 +186,10 @@ func (t *TCP) dispatchLoop(q chan *Envelope) {
 
 // Send enqueues env for the peer listening at `to`, dialing on first use.
 // It returns once the envelope is queued (the writer goroutine owns the
-// socket); a full queue blocks until the writer catches up. A dial failure
-// returns ErrUnreachable. If the peer's writer died of a write failure,
-// Send drops the dead peer and retries once through a fresh dial.
+// socket) and never waits for the writer: a full queue returns
+// ErrQueueFull. A dial failure returns ErrUnreachable. If the peer's writer
+// died of a write failure, Send drops the dead peer and retries once
+// through a fresh dial.
 func (t *TCP) Send(to NodeID, env *Envelope) error {
 	cp := envPool.Get().(*Envelope)
 	*cp = *env
@@ -221,16 +200,28 @@ func (t *TCP) Send(to NodeID, env *Envelope) error {
 			recycleEnvelope(cp)
 			return err
 		}
+		// Non-blocking channel operations only: a select over several
+		// channels would lock them all, and closeCh is shared by every
+		// sender of this transport.
 		select {
-		case p.ch <- cp:
-			return nil // the writer owns cp now and recycles it
 		case <-p.dead:
 			// The writer hit a write error and gave up; forget this peer
 			// and redial (write failures are the only redial trigger).
 			t.dropPeer(to, p)
+			continue
+		default:
+		}
+		select {
+		case p.ch <- cp:
+			return nil // the writer owns cp now and recycles it
+		default:
+		}
+		recycleEnvelope(cp)
+		select {
 		case <-t.closeCh:
-			recycleEnvelope(cp)
 			return ErrClosed
+		default:
+			return fmt.Errorf("%w: %s", ErrQueueFull, to)
 		}
 	}
 	recycleEnvelope(cp)
@@ -240,22 +231,22 @@ func (t *TCP) Send(to NodeID, env *Envelope) error {
 // peer returns the outbound peer for `to`, dialing and starting its writer
 // on first use.
 func (t *TCP) peer(to NodeID) (*tcpPeer, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	t.mu.RLock()
+	closed := t.closed
+	p, ok := t.peers[to]
+	t.mu.RUnlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if p, ok := t.peers[to]; ok {
-		t.mu.Unlock()
+	if ok {
 		return p, nil
 	}
-	t.mu.Unlock()
 
 	conn, err := net.Dial("tcp", string(to))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (%v)", ErrUnreachable, to, err)
 	}
-	p := &tcpPeer{
+	p = &tcpPeer{
 		to:   to,
 		ch:   make(chan *Envelope, outboundQueueCap),
 		dead: make(chan struct{}),
@@ -352,8 +343,8 @@ func (t *TCP) writeFrame(p *tcpPeer, fw *codec.FrameWriter, frame []byte) (*code
 }
 
 // Close shuts the listener and all connections, then waits for every
-// read/write/dispatch goroutine — including any in-flight handler
-// invocation — to finish.
+// read/write goroutine — including any in-flight handler invocation — to
+// finish.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {

@@ -53,7 +53,7 @@ func blastTCP(tb testing.TB, n int, traceEvery int) float64 {
 		if traceEvery > 0 && i%traceEvery == 0 {
 			env.Trace = tr
 		}
-		if err := a.Send(recv.Node(), env); err != nil {
+		if err := sendBlocking(a, recv.Node(), env); err != nil {
 			tb.Fatal(err)
 		}
 	}

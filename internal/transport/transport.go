@@ -71,7 +71,7 @@ type Trace struct {
 	ParentID uint64
 
 	// Reply-borne server-side duration components, in nanoseconds.
-	RecvQueueNs uint64 // receive-stage queue wait
+	RecvQueueNs uint64 // receive-pool wait (0 for inline delivery)
 	WorkQueueNs uint64 // actor mailbox wait
 	ExecNs      uint64 // handler execution
 
@@ -97,8 +97,9 @@ func (tr *Trace) clone() *Trace {
 	return &cp
 }
 
-// Handler consumes inbound envelopes. It must not block for long: the
-// runtime hands envelopes to its receive stage immediately.
+// Handler consumes inbound envelopes. TCP runs it on the connection's read
+// loop, so it must not block: a handler that waits stalls every later
+// envelope on that connection, including the reply it may be waiting for.
 type Handler func(env *Envelope)
 
 // Transport moves envelopes between nodes.
@@ -127,6 +128,12 @@ var ErrUnreachable = errors.New("transport: peer unreachable")
 
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("transport: closed")
+
+// ErrQueueFull is returned when a peer's outbound queue is full: the peer
+// (or the path to it) is not keeping up. Send sheds the envelope rather
+// than wait, so one stalled peer cannot stall the goroutines that send to
+// every other peer.
+var ErrQueueFull = errors.New("transport: peer queue full")
 
 // --- in-memory ---
 
